@@ -21,6 +21,9 @@ smoke:
 	dune exec bin/nonmask_cli.exe -- certify token-ring --nodes 4 -k 5 --engine lazy
 	dune exec bin/nonmask_cli.exe -- certify token-ring --nodes 4 -k 5 --faults corrupt:k=1 --engine parallel --jobs 2
 	dune exec bin/nonmask_cli.exe -- storm token-ring --nodes 5 -k 6 --rate 0.1 --trials 200 --jobs 2
+	dune exec bin/nonmask_cli.exe -- storm examples/models/token_ring.nm --trials 200 --seed 7 --jobs 1 > /tmp/nonmask-smoke-storm-j1.out
+	dune exec bin/nonmask_cli.exe -- storm examples/models/token_ring.nm --trials 200 --seed 7 --jobs 2 > /tmp/nonmask-smoke-storm-j2.out
+	cmp /tmp/nonmask-smoke-storm-j1.out /tmp/nonmask-smoke-storm-j2.out
 	dune exec bin/nonmask_cli.exe -- tolerance token-ring --nodes 4 -k 5 --budget-max 2 --adversary
 	dune exec bin/nonmask_cli.exe -- check token-ring --nodes 4 -k 4 --engine parallel --jobs 2 --trace-out /tmp/nonmask-smoke-trace.jsonl --metrics-out /tmp/nonmask-smoke-metrics.json --progress
 	dune exec bin/nonmask_cli.exe -- fuzz --seed 42 --count 50 --jobs 2

@@ -878,11 +878,7 @@ let e13 () =
    Past the cap only the lazy engine, seeded with a bounded-fault Hamming
    ball around the legitimate state, returns a verdict at all. *)
 let e14 () =
-  let backend_name = function
-    | Engine.Eager -> "eager"
-    | Engine.Lazy -> "lazy"
-    | Engine.Parallel -> "parallel"
-  in
+  let backend_name = Engine.name_of_backend in
   let row (name, states, env, cp, invariant, legit) ~backend ~radius =
     let from_desc, from =
       match radius with

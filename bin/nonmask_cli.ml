@@ -45,22 +45,14 @@ module Tree = Topology.Tree
 module State = Guarded.State
 module Compile = Guarded.Compile
 
-(* A protocol instance, abstracted over what the CLI needs. Both
-   built-in protocols and compiled .nm model files resolve to this. *)
+(* A protocol instance: the model every operation runs on, plus what
+   only the CLI's built-in protocols have — a theorem certificate and
+   constraint graphs. Built-in protocols and compiled .nm model files
+   both resolve to this. *)
 type instance = {
-  i_name : string;
-  env : Guarded.Env.t;
-  program : Guarded.Program.t;
-  invariant : Guarded.State.t -> bool;
-  legitimate : unit -> Guarded.State.t;
+  model : Ops.model;
   certify : (engine:Explore.Engine.t -> Nonmask.Certify.t) option;
   cgraphs : Nonmask.Cgraph.t list;
-  declared_fault : Sim.Fault.t option;
-      (* the fault actions a .nm model declares, if any — the default
-         fault class for certify/storm on that model *)
-  declared_envs : Guarded.Action.t list;
-      (* the environment actions a .nm model declares ([] for built-in
-         protocols) — threaded into tolerance certification *)
 }
 
 let protocols =
@@ -87,60 +79,61 @@ let tree_of ~shape ~size ~seed =
   | "random" -> Tree.random (Prng.create seed) size
   | s -> failwith (Printf.sprintf "unknown tree shape %S" s)
 
+(* Built-in protocols declare no faults and no environment actions. *)
+let builtin ?certify ?(cgraphs = []) name env program invariant init =
+  {
+    model =
+      {
+        Ops.name;
+        env;
+        program;
+        invariant;
+        init;
+        faults = None;
+        env_actions = [];
+      };
+    certify;
+    cgraphs;
+  }
+
 let build_instance proto ~shape ~size ~nodes ~k ~seed =
   match proto with
   | "diffusing" ->
       let d = Protocols.Diffusing.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "diffusing %s-%d" shape size;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Diffusing.env d;
-        program = Protocols.Diffusing.combined d;
-        invariant = (fun s -> Protocols.Diffusing.invariant d s);
-        legitimate = (fun () -> Protocols.Diffusing.all_green d);
-        certify = Some (fun ~engine -> Protocols.Diffusing.certificate ~engine d);
-        cgraphs = [ Protocols.Diffusing.cgraph d ];
-      }
+      builtin
+        (Printf.sprintf "diffusing %s-%d" shape size)
+        (Protocols.Diffusing.env d)
+        (Protocols.Diffusing.combined d)
+        (Protocols.Diffusing.invariant d)
+        (Protocols.Diffusing.all_green d)
+        ~certify:(fun ~engine -> Protocols.Diffusing.certificate ~engine d)
+        ~cgraphs:[ Protocols.Diffusing.cgraph d ]
   | "lowatomic" ->
       let d = Protocols.Diffusing_lowatomic.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "lowatomic %s-%d" shape size;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Diffusing_lowatomic.env d;
-        program = Protocols.Diffusing_lowatomic.program d;
-        invariant = (fun s -> Protocols.Diffusing_lowatomic.invariant d s);
-        legitimate = (fun () -> Protocols.Diffusing_lowatomic.all_green d);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "lowatomic %s-%d" shape size)
+        (Protocols.Diffusing_lowatomic.env d)
+        (Protocols.Diffusing_lowatomic.program d)
+        (Protocols.Diffusing_lowatomic.invariant d)
+        (Protocols.Diffusing_lowatomic.all_green d)
   | "token-ring" ->
       let tr = Protocols.Token_ring.make ~nodes ~k in
-      {
-        i_name = Printf.sprintf "token-ring %d (K=%d)" nodes k;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Token_ring.env tr;
-        program = Protocols.Token_ring.combined tr;
-        invariant = (fun s -> Protocols.Token_ring.invariant tr s);
-        legitimate = (fun () -> Protocols.Token_ring.all_zero tr);
-        certify = Some (fun ~engine -> Protocols.Token_ring.certificate ~engine tr);
-        cgraphs = Protocols.Token_ring.layers tr;
-      }
+      builtin
+        (Printf.sprintf "token-ring %d (K=%d)" nodes k)
+        (Protocols.Token_ring.env tr)
+        (Protocols.Token_ring.combined tr)
+        (Protocols.Token_ring.invariant tr)
+        (Protocols.Token_ring.all_zero tr)
+        ~certify:(fun ~engine -> Protocols.Token_ring.certificate ~engine tr)
+        ~cgraphs:(Protocols.Token_ring.layers tr)
   | "dijkstra" ->
       let dr = Protocols.Dijkstra_ring.make ~nodes ~k in
-      {
-        i_name = Printf.sprintf "dijkstra %d (K=%d)" nodes k;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Dijkstra_ring.env dr;
-        program = Protocols.Dijkstra_ring.program dr;
-        invariant = (fun s -> Protocols.Dijkstra_ring.invariant dr s);
-        legitimate = (fun () -> Protocols.Dijkstra_ring.all_zero dr);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "dijkstra %d (K=%d)" nodes k)
+        (Protocols.Dijkstra_ring.env dr)
+        (Protocols.Dijkstra_ring.program dr)
+        (Protocols.Dijkstra_ring.invariant dr)
+        (Protocols.Dijkstra_ring.all_zero dr)
   | "xyz-good-tree" | "xyz-good-ordered" | "xyz-bad" ->
       let variant =
         match proto with
@@ -149,67 +142,42 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
         | _ -> Protocols.Xyz_demo.Bad
       in
       let d = Protocols.Xyz_demo.make variant in
-      {
-        i_name = proto;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Xyz_demo.env d;
-        program = Protocols.Xyz_demo.program d;
-        invariant = (fun s -> Protocols.Xyz_demo.invariant d s);
-        legitimate =
-          (fun () ->
-            State.of_list (Protocols.Xyz_demo.env d)
-              [
-                (Protocols.Xyz_demo.x d, 0);
-                (Protocols.Xyz_demo.y d, 1);
-                (Protocols.Xyz_demo.z d, 1);
-              ]);
-        certify = Some (fun ~engine -> Protocols.Xyz_demo.certificate ~engine d);
-        cgraphs = [ Protocols.Xyz_demo.cgraph d ];
-      }
+      builtin proto (Protocols.Xyz_demo.env d) (Protocols.Xyz_demo.program d)
+        (Protocols.Xyz_demo.invariant d)
+        (State.of_list (Protocols.Xyz_demo.env d)
+           [
+             (Protocols.Xyz_demo.x d, 0);
+             (Protocols.Xyz_demo.y d, 1);
+             (Protocols.Xyz_demo.z d, 1);
+           ])
+        ~certify:(fun ~engine -> Protocols.Xyz_demo.certificate ~engine d)
+        ~cgraphs:[ Protocols.Xyz_demo.cgraph d ]
   | "atomic" ->
       let a = Protocols.Atomic_action.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "atomic %s-%d" shape size;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Atomic_action.env a;
-        program = Protocols.Atomic_action.program a;
-        invariant = (fun s -> Protocols.Atomic_action.invariant a s);
-        legitimate =
-          (fun () ->
-            Protocols.Atomic_action.initial a
-              ~decision:Protocols.Atomic_action.commit);
-        certify =
-          Some (fun ~engine -> Protocols.Atomic_action.certificate ~engine a);
-        cgraphs = [ Protocols.Atomic_action.cgraph a ];
-      }
+      builtin
+        (Printf.sprintf "atomic %s-%d" shape size)
+        (Protocols.Atomic_action.env a)
+        (Protocols.Atomic_action.program a)
+        (Protocols.Atomic_action.invariant a)
+        (Protocols.Atomic_action.initial a
+           ~decision:Protocols.Atomic_action.commit)
+        ~certify:(fun ~engine -> Protocols.Atomic_action.certificate ~engine a)
+        ~cgraphs:[ Protocols.Atomic_action.cgraph a ]
   | "naive-ring" ->
       let nr = Protocols.Naive_ring.make ~nodes in
-      {
-        i_name = Printf.sprintf "naive-ring %d" nodes;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Naive_ring.env nr;
-        program = Protocols.Naive_ring.program nr;
-        invariant = (fun s -> Protocols.Naive_ring.invariant nr s);
-        legitimate = (fun () -> Protocols.Naive_ring.one_token nr);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "naive-ring %d" nodes)
+        (Protocols.Naive_ring.env nr)
+        (Protocols.Naive_ring.program nr)
+        (Protocols.Naive_ring.invariant nr)
+        (Protocols.Naive_ring.one_token nr)
   | "reset" ->
       let r = Protocols.Reset.make (tree_of ~shape ~size ~seed) in
-      {
-        i_name = Printf.sprintf "reset %s-%d" shape size;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Reset.env r;
-        program = Protocols.Reset.program r;
-        invariant = (fun s -> Protocols.Reset.invariant r s);
-        legitimate = (fun () -> Protocols.Reset.all_green r);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "reset %s-%d" shape size)
+        (Protocols.Reset.env r) (Protocols.Reset.program r)
+        (Protocols.Reset.invariant r)
+        (Protocols.Reset.all_green r)
   | "spanning-tree" ->
       let g =
         match shape with
@@ -225,17 +193,12 @@ let build_instance proto ~shape ~size ~nodes ~k ~seed =
               ~extra_edges:(size / 2)
       in
       let st = Protocols.Spanning_tree.make ~root:0 g in
-      {
-        i_name = Printf.sprintf "spanning-tree %s-%d" shape size;
-        declared_fault = None;
-        declared_envs = [];
-        env = Protocols.Spanning_tree.env st;
-        program = Protocols.Spanning_tree.program st;
-        invariant = (fun s -> Protocols.Spanning_tree.invariant st s);
-        legitimate = (fun () -> Protocols.Spanning_tree.bfs_state st);
-        certify = None;
-        cgraphs = [];
-      }
+      builtin
+        (Printf.sprintf "spanning-tree %s-%d" shape size)
+        (Protocols.Spanning_tree.env st)
+        (Protocols.Spanning_tree.program st)
+        (Protocols.Spanning_tree.invariant st)
+        (Protocols.Spanning_tree.bfs_state st)
   | p ->
       failwith
         (Printf.sprintf
@@ -262,22 +225,10 @@ let parse_model_file path =
   | Sys_error msg -> failwith msg
 
 let nm_instance ~params path =
-  let em = compile_model ~params path in
-  let declared_fault =
-    match em.Lang.Elab.fault_actions with
-    | [] -> None
-    | acts -> Some (Sim.Fault.of_actions "declared faults" ~burst:1 acts)
-  in
   {
-    i_name = em.Lang.Elab.name;
-    env = em.Lang.Elab.env;
-    program = em.Lang.Elab.program;
-    invariant = em.Lang.Elab.invariant;
-    legitimate = (fun () -> em.Lang.Elab.init);
+    model = Ops.of_elab (compile_model ~params path);
     certify = None;
     cgraphs = [];
-    declared_fault;
-    declared_envs = em.Lang.Elab.env_actions;
   }
 
 (* Model selection, shared by every verb: a PROTOCOL argument is either a
@@ -339,23 +290,19 @@ let k_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
-let backend_str = function
-  | Explore.Engine.Eager -> "eager"
-  | Explore.Engine.Lazy -> "lazy"
-  | Explore.Engine.Parallel -> "parallel"
-
 let backend_conv =
-  let parse = function
-    | "eager" -> Ok Explore.Engine.Eager
-    | "lazy" -> Ok Explore.Engine.Lazy
-    | "parallel" -> Ok Explore.Engine.Parallel
-    | s ->
+  let parse s =
+    match Explore.Engine.backend_of_name s with
+    | Some b -> Ok b
+    | None ->
         Error
           (`Msg
-            (Printf.sprintf
-               "unknown engine %S; valid values are eager, lazy, parallel" s))
+            (Printf.sprintf "unknown engine %S; valid values are %s" s
+               (String.concat ", " (List.map fst Explore.Engine.backends))))
   in
-  let print ppf b = Format.pp_print_string ppf (backend_str b) in
+  let print ppf b =
+    Format.pp_print_string ppf (Explore.Engine.name_of_backend b)
+  in
   Arg.conv (parse, print)
 
 let engine_arg =
@@ -413,10 +360,6 @@ let ball_arg =
            of the legitimate state (at most $(docv) corrupted variables) \
            instead of from every state. Lets the lazy engine give verdicts \
            on spaces far beyond $(b,--max-states).")
-
-let make_engine ~backend ~max_states ~jobs ?obs ?guard ?snapshots ?salt env =
-  Explore.Engine.create ~backend ~max_states ~jobs ?obs ?guard ?snapshots
-    ?salt env
 
 (* --- graceful degradation: budgets, signals, checkpoints --- *)
 
@@ -597,16 +540,6 @@ let report_incomplete ~obs ?checkpoint_out (it : Explore.Engine.interrupt) =
           ]));
   exit exit_incomplete
 
-(* The reason a guard-governed Monte-Carlo sweep (storm, fuzz) went
-   partial: the cancel token records what tripped first. *)
-let guard_reason guard =
-  match Rt.Guard.cancel guard with
-  | Some c -> (
-      match Rt.Cancel.get c with
-      | Some r -> r
-      | None -> Rt.Cancel.Deadline)
-  | None -> Rt.Cancel.Deadline
-
 (* --- observability flags (check / certify / storm) --- *)
 
 let trace_out_arg =
@@ -690,64 +623,65 @@ let run_meta ~command ~instance ~engine ~jobs =
     ("version", Obs.Json.Str Version_info.version);
   ]
 
-let exit_verdict_failed = 2
-let exit_too_large = 3
-let exit_region_overflow = 4
+(* Every command body runs under [cli_errors]: a Failure is one line on
+   stderr and the usage exit code 1. *)
+let cli_errors f =
+  try f () with Failure msg ->
+    Printf.eprintf "error: %s\n" msg;
+    1
 
 (* Non-zero exits must say why on stderr, even though the verdict details
    go to stdout — scripts routinely discard stdout and keep stderr. *)
-let fail_verdict what =
+let fail code what =
   Printf.eprintf "error: %s\n" what;
-  exit exit_verdict_failed
+  exit code
 
-let report_overflow i = function
-  | Explore.Space.Too_large total ->
-      Printf.eprintf
-        "error: %s has ~%.3g states, over the budget; retry with --engine \
-         lazy (and --ball R for huge spaces) or raise --max-states\n"
-        i.i_name total;
-      exit exit_too_large
-  | Explore.Codec.Overflow { layout; bits; states } ->
-      Printf.eprintf
-        "error: %s has ~%.3g states, more than the %s state encoding can \
-         address (%d bits needed); shrink the instance\n"
-        i.i_name states layout bits;
-      exit exit_too_large
-  | Explore.Engine.Region_overflow n ->
-      Printf.eprintf
-        "error: %s: lazy exploration exceeded the budget after %d states; \
-         raise --max-states or shrink --ball\n"
-        i.i_name n;
-      exit exit_region_overflow
-  | e -> raise e
+(* The CLI's rendering of an operation's outcome: its text on stdout,
+   then — for a failed verdict ([failed] names it) or a run that stopped
+   early — one line on stderr and the outcome's exit code. *)
+let finish ~obs ?checkpoint_out ?failed ~name (o : Ops.outcome) =
+  print_string (Lazy.force o.text);
+  match o.stop with
+  | None ->
+      cleanup_checkpoint checkpoint_out;
+      if o.exit_code <> 0 then
+        fail o.exit_code (Option.value failed ~default:(name ^ ": failed"));
+      0
+  | Some (Ops.Incomplete it) -> report_incomplete ~obs ?checkpoint_out it
+  | Some (Ops.Failed msg) -> failwith msg
+  | Some (Ops.Too_large total) ->
+      fail o.exit_code
+        (Printf.sprintf
+           "%s has ~%.3g states, over the budget; retry with --engine lazy \
+            (and --ball R for huge spaces) or raise --max-states"
+           name total)
+  | Some (Ops.Unaddressable { layout; bits; states }) ->
+      fail o.exit_code
+        (Printf.sprintf
+           "%s has ~%.3g states, more than the %s state encoding can \
+            address (%d bits needed); shrink the instance"
+           name states layout bits)
+  | Some (Ops.Region_overflow n) ->
+      fail o.exit_code
+        (Printf.sprintf
+           "%s: lazy exploration exceeded the budget after %d states; raise \
+            --max-states or shrink --ball"
+           name n)
 
 (* --faults SPEC: a fault class in action form. *)
-let parse_fault_spec env spec =
-  let bad () =
-    failwith
-      (Printf.sprintf "bad fault spec %S (corrupt | corrupt:k=N | scramble)"
-         spec)
-  in
-  match String.split_on_char ':' spec with
-  | [ "corrupt" ] -> Sim.Fault.corrupt env ~k:1
-  | [ "corrupt"; ks ] -> (
-      match String.split_on_char '=' ks with
-      | [ "k"; n ] -> (
-          match int_of_string_opt n with
-          | Some k when k > 0 -> Sim.Fault.corrupt env ~k
-          | _ -> bad ())
-      | _ -> bad ())
-  | [ "scramble" ] -> Sim.Fault.scramble env
-  | _ -> bad ()
+let bad_fault_spec spec =
+  Printf.sprintf "bad fault spec %S (%s)" spec Ops.fault_grammar
+
+let ops_request ?model op options =
+  match Ops.request ?model op options with
+  | Ok r -> r
+  | Error (Ops.Bad_spec spec) -> failwith (bad_fault_spec spec)
+  | Error Ops.No_faults -> failwith "no fault class: pass --faults SPEC"
 
 let with_instance f proto shape size nodes k seed params =
-  try
-    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-    f i seed;
-    0
-  with Failure msg ->
-    Printf.eprintf "error: %s\n" msg;
-    1
+  cli_errors @@ fun () ->
+  f (load_instance proto ~shape ~size ~nodes ~k ~seed ~params);
+  0
 
 let instance_term f =
   Term.(
@@ -767,8 +701,8 @@ let list_cmd =
     Term.(const run $ const ())
 
 let show_cmd =
-  let run i _seed =
-    Format.printf "%a@." Guarded.Program.pp i.program;
+  let run i =
+    Format.printf "%a@." Guarded.Program.pp i.model.program;
     List.iteri
       (fun l g ->
         if List.length i.cgraphs > 1 then Format.printf "layer %d:@." l;
@@ -802,107 +736,69 @@ let fault_budget_arg =
            corrupt:k=N). Negative = unbounded — the recurring-fault span.")
 
 let certify_cmd =
-  let run proto shape size nodes k seed params backend max_states jobs
+  let run proto shape size nodes k seed params engine max_states jobs
       fault_spec fault_budget ball trace_out metrics_out progress deadline
       budget_states budget_bytes checkpoint_out resume_file =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      (* --faults wins; a .nm model's declared fault actions are the
-         default fault class when the flag is absent. *)
-      let fault_opt =
-        match fault_spec with
-        | Some spec -> Some (parse_fault_spec i.env spec)
-        | None -> i.declared_fault
-      in
-      if (checkpoint_out <> None || resume_file <> None) && fault_opt = None
-      then
-        failwith
-          "certify: --checkpoint-out/--resume require --faults (only the \
-           computed fault span is checkpointable)";
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"certify" ~instance:i.i_name
-               ~engine:(backend_str backend) ~jobs)
-      in
-      let guard = make_guard ~deadline ~budget_states ~budget_bytes in
-      let handle_incomplete work =
-        try work () with
-        | Explore.Engine.Interrupted it ->
-            report_incomplete ~obs ?checkpoint_out it
-        | Rt.Cancel.Cancelled reason ->
-            report_incomplete ~obs ?checkpoint_out
-              { reason; states_seen = 0; frontier_size = 0; snapshot = None }
-        | Rt.Snapshot.Corrupt msg ->
-            failwith (Printf.sprintf "cannot resume: %s" msg)
-      in
-      (match fault_opt with
-      | Some fault -> (
-          let resume = Option.map load_snapshot resume_file in
-          prepare_checkpoint checkpoint_out;
-          let salt =
-            Printf.sprintf "certify|%s|seed=%d|faults=%s|ball=%d" i.i_name
-              seed fault.Sim.Fault.name ball
-          in
-          try
-            handle_incomplete @@ fun () ->
-            let engine =
-              make_engine ~backend ~max_states ~jobs ~obs ~guard
-                ~snapshots:(checkpoint_out <> None) ~salt i.env
-            in
-            let from =
-              if ball < 0 then None
-              else
-                Some
-                  (Explore.Engine.Seeds
-                     (Explore.Engine.ball i.env ~center:(i.legitimate ())
-                        ~radius:ball))
-            in
-            let budget =
-              match fault_budget with
-              | Some b when b < 0 -> None
-              | Some b -> Some b
-              | None -> Some (Sim.Fault.burst fault)
-            in
-            let cert =
-              Nonmask.Certify.tolerance ~engine ~program:i.program
-                ~faults:(Sim.Fault.actions fault) ~invariant:i.invariant
-                ?from ?budget ?resume
-                ~name:
-                  (Printf.sprintf "%s under %s" i.i_name
-                     fault.Sim.Fault.name)
-                ()
-            in
-            cleanup_checkpoint checkpoint_out;
-            Format.printf "%a@." Nonmask.Certify.pp_full cert;
-            if not (Nonmask.Certify.ok cert) then
-              fail_verdict
-                (Printf.sprintf "%s: tolerance certificate failed" i.i_name)
-          with e -> report_overflow i e)
-      | None -> (
-          match i.certify with
-          | None ->
-              Printf.printf
-                "%s has no theorem certificate (validated by direct model \
-                 checking; use `check`, or `certify --faults SPEC` for a \
-                 tolerance certificate).\n"
-                i.i_name
-          | Some certify -> (
-              try
-                handle_incomplete @@ fun () ->
-                let engine =
-                  make_engine ~backend ~max_states ~jobs ~obs ~guard i.env
-                in
-                let cert = certify ~engine in
-                Format.printf "%a@." Nonmask.Certify.pp_full cert;
-                if not (Nonmask.Certify.ok cert) then
-                  fail_verdict
-                    (Printf.sprintf "%s: certificate failed" i.i_name)
-              with e -> report_overflow i e)));
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let name = i.model.name in
+    (* Without --faults or declared faults, a built-in protocol's
+       theorem validator runs instead. *)
+    let req =
+      match
+        Ops.request ~model:i.model Ops.Certify
+          {
+            Ops.defaults with
+            engine;
+            max_states;
+            ball;
+            faults = fault_spec;
+            fault_budget;
+          }
+      with
+      | Ok r -> Some r
+      | Error Ops.No_faults -> None
+      | Error (Ops.Bad_spec spec) -> failwith (bad_fault_spec spec)
+    in
+    if (checkpoint_out <> None || resume_file <> None) && Option.is_none req
+    then
+      failwith
+        "certify: --checkpoint-out/--resume require --faults (only the \
+         computed fault span is checkpointable)";
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress
+        ~meta:
+          (run_meta ~command:"certify" ~instance:name
+             ~engine:(Explore.Engine.name_of_backend engine) ~jobs)
+    in
+    let guard = make_guard ~deadline ~budget_states ~budget_bytes in
+    match (req, i.certify) with
+    | Some req, _ ->
+        let resume = Option.map load_snapshot resume_file in
+        prepare_checkpoint checkpoint_out;
+        let salt =
+          Printf.sprintf "certify|%s|seed=%d|faults=%s|ball=%d" name seed
+            (Option.get req.fault).name ball
+        in
+        Ops.run ~jobs ~obs ~guard ~snapshots:(checkpoint_out <> None) ~salt
+          ?resume req
+        |> finish ~obs ?checkpoint_out ~name
+             ~failed:(name ^ ": tolerance certificate failed")
+    | None, None ->
+        Printf.printf
+          "%s has no theorem certificate (validated by direct model \
+           checking; use `check`, or `certify --faults SPEC` for a \
+           tolerance certificate).\n"
+          name;
+        0
+    | None, Some certify ->
+        Ops.protect (fun () ->
+            Ops.of_certificate
+              (certify
+                 ~engine:
+                   (Explore.Engine.create ~backend:engine ~max_states ~jobs
+                      ~obs ~guard i.model.env)))
+        |> finish ~obs ~name ~failed:(name ^ ": certificate failed")
   in
   Cmd.v
     (Cmd.info "certify"
@@ -967,124 +863,72 @@ let report_arg =
            line, flushed as each point completes — an interrupted sweep \
            (exit 5) leaves the partial curve behind.")
 
-let tolerance_point_json (p : Tol.Sweep.point) =
-  Obs.Json.Obj
-    ([
-       ("budget", Obs.Json.Int p.Tol.Sweep.budget);
-       ("span_states", Obs.Json.Int p.Tol.Sweep.span_states);
-       ("span_roots", Obs.Json.Int p.Tol.Sweep.span_roots);
-       ("max_depth", Obs.Json.Int p.Tol.Sweep.max_depth);
-       ("certified", Obs.Json.Bool p.Tol.Sweep.certified);
-       ( "worst_case",
-         match p.Tol.Sweep.worst_case with
-         | Some w -> Obs.Json.Int w
-         | None -> Obs.Json.Null );
-       ("reused", Obs.Json.Bool p.Tol.Sweep.reused);
-     ]
-    @
-    match p.Tol.Sweep.adversary with
-    | None -> []
-    | Some r -> (
-        match r.Tol.Adversary.verdict with
-        | Tol.Adversary.Bounded w -> [ ("adversary_bound", Obs.Json.Int w) ]
-        | Tol.Adversary.Unbounded _ ->
-            [ ("adversary_bound", Obs.Json.Str "unbounded") ]))
-
 let tolerance_cmd =
-  let run proto shape size nodes k seed params backend max_states jobs
+  let run proto shape size nodes k seed params engine max_states jobs
       fault_spec budget_max budgets_csv adversary report ball trace_out
       metrics_out progress deadline budget_states budget_bytes =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      let fault =
-        match (fault_spec, i.declared_fault) with
-        | Some spec, _ -> parse_fault_spec i.env spec
-        | None, Some f -> f
-        | None, None -> parse_fault_spec i.env "corrupt:k=1"
-      in
-      let budgets =
-        match budgets_csv with
-        | Some csv ->
-            List.map
-              (fun s ->
-                match int_of_string_opt (String.trim s) with
-                | Some b when b >= 0 -> b
-                | Some b ->
-                    failwith
-                      (Printf.sprintf "tolerance: negative budget %d" b)
-                | None ->
-                    failwith
-                      (Printf.sprintf "tolerance: bad --budgets entry %S" s))
-              (String.split_on_char ',' csv)
-        | None ->
-            if budget_max < 0 then
-              failwith
-                (Printf.sprintf "tolerance: --budget-max must be >= 0 (got %d)"
-                   budget_max);
-            Tol.Sweep.range ~max:budget_max
-      in
-      let report_oc =
-        Option.map
-          (fun file ->
-            let oc =
-              try open_out file
-              with Sys_error msg ->
-                failwith (Printf.sprintf "cannot open --report: %s" msg)
-            in
-            at_exit (fun () -> close_out_noerr oc);
-            oc)
-          report
-      in
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"tolerance" ~instance:i.i_name
-               ~engine:(backend_str backend) ~jobs)
-      in
-      let guard = make_guard ~deadline ~budget_states ~budget_bytes in
-      (try
-         let engine =
-           make_engine ~backend ~max_states ~jobs ~obs ~guard i.env
-         in
-         let from =
-           if ball < 0 then None
-           else
-             Some
-               (Explore.Engine.Seeds
-                  (Explore.Engine.ball i.env ~center:(i.legitimate ())
-                     ~radius:ball))
-         in
-         let on_point p =
-           match report_oc with
-           | None -> ()
-           | Some oc ->
-               output_string oc
-                 (Obs.Json.to_string (tolerance_point_json p));
-               output_char oc '\n';
-               flush oc
-         in
-         let frontier =
-           Tol.Sweep.run ~engine ~program:i.program
-             ~faults:(Sim.Fault.actions fault) ~envs:i.declared_envs
-             ~invariant:i.invariant ?from ~budgets ~adversary ~on_point
-             ~name:
-               (Printf.sprintf "%s under %s" i.i_name fault.Sim.Fault.name)
-             ()
-         in
-         Format.printf "%s under %s (%s engine):@.%a@." i.i_name
-           fault.Sim.Fault.name
-           (Explore.Engine.backend_name engine)
-           Tol.Sweep.pp_frontier frontier
-       with
-       | Explore.Engine.Interrupted it -> report_incomplete ~obs it
-       | Rt.Cancel.Cancelled reason ->
-           report_incomplete ~obs
-             { reason; states_seen = 0; frontier_size = 0; snapshot = None }
-       | e -> report_overflow i e);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let req =
+      ops_request ~model:i.model Ops.Tolerance
+        {
+          Ops.defaults with
+          engine;
+          max_states;
+          ball;
+          faults = fault_spec;
+          budget_max;
+          adversary;
+        }
+    in
+    let budgets =
+      Option.map
+        (fun csv ->
+          List.map
+            (fun s ->
+              match int_of_string_opt (String.trim s) with
+              | Some b when b >= 0 -> b
+              | Some b ->
+                  failwith (Printf.sprintf "tolerance: negative budget %d" b)
+              | None ->
+                  failwith
+                    (Printf.sprintf "tolerance: bad --budgets entry %S" s))
+            (String.split_on_char ',' csv))
+        budgets_csv
+    in
+    if budgets = None && budget_max < 0 then
+      failwith
+        (Printf.sprintf "tolerance: --budget-max must be >= 0 (got %d)"
+           budget_max);
+    let report_oc =
+      Option.map
+        (fun file ->
+          let oc =
+            try open_out file
+            with Sys_error msg ->
+              failwith (Printf.sprintf "cannot open --report: %s" msg)
+          in
+          at_exit (fun () -> close_out_noerr oc);
+          oc)
+        report
+    in
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress
+        ~meta:
+          (run_meta ~command:"tolerance" ~instance:i.model.name
+             ~engine:(Explore.Engine.name_of_backend engine) ~jobs)
+    in
+    let guard = make_guard ~deadline ~budget_states ~budget_bytes in
+    let on_point p =
+      Option.iter
+        (fun oc ->
+          output_string oc (Obs.Json.to_string (Ops.point_json p));
+          output_char oc '\n';
+          flush oc)
+        report_oc
+    in
+    Ops.run ~jobs ~obs ~guard ?budgets ~on_point req
+    |> finish ~obs ~name:i.model.name
   in
   Cmd.v
     (Cmd.info "tolerance"
@@ -1101,76 +945,30 @@ let tolerance_cmd =
       $ progress_arg $ deadline_arg $ budget_states_arg $ budget_bytes_arg)
 
 let check_cmd =
-  let run proto shape size nodes k seed params backend max_states jobs ball
+  let run proto shape size nodes k seed params engine max_states jobs ball
       trace_out metrics_out progress deadline budget_states budget_bytes
       checkpoint_out resume_file =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"check" ~instance:i.i_name
-               ~engine:(backend_str backend) ~jobs)
-      in
-      let guard =
-        make_guard ~deadline ~budget_states ~budget_bytes
-      in
-      let resume = Option.map load_snapshot resume_file in
-      prepare_checkpoint checkpoint_out;
-      (* The salt excludes engine and jobs (checkpoints resume across
-         both) but pins everything else that shapes the result. *)
-      let salt =
-        Printf.sprintf "check|%s|seed=%d|ball=%d" i.i_name seed ball
-      in
-      (try
-         let engine =
-           make_engine ~backend ~max_states ~jobs ~obs ~guard
-             ~snapshots:(checkpoint_out <> None) ~salt i.env
-         in
-         let from, from_desc =
-           if ball < 0 then (Explore.Engine.All, "every state")
-           else
-             ( Explore.Engine.Seeds
-                 (Explore.Engine.ball i.env ~center:(i.legitimate ())
-                    ~radius:ball),
-               Printf.sprintf "every state within %d faults of legitimacy"
-                 ball )
-         in
-         match
-           Explore.Convergence.check_unfair ?resume engine
-             (Compile.program i.program) ~from ~target:i.invariant
-         with
-         | Ok { region_states; explored; worst_case_steps } ->
-             cleanup_checkpoint checkpoint_out;
-             Printf.printf
-               "%s (%s engine): converges from %s, even without fairness\n\
-               \  explored: %d  outside invariant: %d  worst-case steps: %s\n"
-               i.i_name
-               (Explore.Engine.backend_name engine)
-               from_desc explored region_states
-               (match worst_case_steps with
-               | Some w -> string_of_int w
-               | None -> "-")
-         | Error f ->
-             cleanup_checkpoint checkpoint_out;
-             Format.printf "%s: FAILS@.%a@." i.i_name
-               (Explore.Convergence.pp_failure i.env)
-               f;
-             fail_verdict
-               (Printf.sprintf "%s: convergence check failed" i.i_name)
-       with
-       | Explore.Engine.Interrupted it ->
-           report_incomplete ~obs ?checkpoint_out it
-       | Rt.Cancel.Cancelled reason ->
-           report_incomplete ~obs ?checkpoint_out
-             { reason; states_seen = 0; frontier_size = 0; snapshot = None }
-       | Rt.Snapshot.Corrupt msg ->
-           failwith (Printf.sprintf "cannot resume: %s" msg)
-       | e -> report_overflow i e);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let name = i.model.name in
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress
+        ~meta:
+          (run_meta ~command:"check" ~instance:name
+             ~engine:(Explore.Engine.name_of_backend engine) ~jobs)
+    in
+    let guard = make_guard ~deadline ~budget_states ~budget_bytes in
+    let resume = Option.map load_snapshot resume_file in
+    prepare_checkpoint checkpoint_out;
+    (* The salt excludes engine and jobs (checkpoints resume across
+       both) but pins everything else that shapes the result. *)
+    let salt = Printf.sprintf "check|%s|seed=%d|ball=%d" name seed ball in
+    Ops.run ~jobs ~obs ~guard ~snapshots:(checkpoint_out <> None) ~salt
+      ?resume
+      (ops_request ~model:i.model Ops.Check
+         { Ops.defaults with engine; max_states; ball })
+    |> finish ~obs ?checkpoint_out ~name
+         ~failed:(name ^ ": convergence check failed")
   in
   Cmd.v
     (Cmd.info "check"
@@ -1195,32 +993,29 @@ let faults_arg =
         ~doc:"Corrupt K variables per trial (0 = scramble everything).")
 
 let simulate_cmd =
-  let run i seed trials faults =
-    let cp = Compile.program i.program in
+  let run (m : Ops.model) seed trials faults =
     let fault =
-      if faults = 0 then Sim.Fault.scramble i.env
-      else Sim.Fault.corrupt i.env ~k:faults
+      if faults = 0 then Sim.Fault.scramble m.env
+      else Sim.Fault.corrupt m.env ~k:faults
     in
     let result =
       Sim.Experiment.convergence_trials ~rng:(Prng.create seed) ~trials
         ~daemon:(fun r -> Sim.Daemon.random r)
         ~prepare:(fun r ->
-          let s = i.legitimate () in
-          fault.Sim.Fault.inject r s;
+          (* copy: m.init is shared by every trial and [inject] mutates *)
+          let s = State.copy m.init in
+          fault.inject r s;
           s)
-        ~stop:i.invariant cp
+        ~stop:m.invariant (Compile.program m.program)
     in
-    Format.printf "%s under %s, %d trials: %a@." i.i_name
-      fault.Sim.Fault.name trials Sim.Experiment.pp_result result
+    Format.printf "%s under %s, %d trials: %a@." m.name fault.name trials
+      Sim.Experiment.pp_result result
   in
   let wrapped proto shape size nodes k seed params trials faults =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      run i seed trials faults;
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    run (load_instance proto ~shape ~size ~nodes ~k ~seed ~params).model seed
+      trials faults;
+    0
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -1260,50 +1055,27 @@ let storm_cmd =
   let run proto shape size nodes k seed params trials fault_spec rate
       fault_budget max_steps jobs trace_out metrics_out progress deadline
       trial_timeout trial_retries =
-    try
-      let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:(run_meta ~command:"storm" ~instance:i.i_name ~engine:"-" ~jobs)
-      in
-      let guard =
-        make_guard ~deadline ~budget_states:None ~budget_bytes:None
-      in
-      let watchdog = make_watchdog ~trial_timeout ~trial_retries in
-      let cp = Compile.program i.program in
-      let fault =
-        match (fault_spec, i.declared_fault) with
-        | Some spec, _ -> parse_fault_spec i.env spec
-        | None, Some f -> f
-        | None, None -> parse_fault_spec i.env "corrupt:k=1"
-      in
-      let fault_budget =
-        match fault_budget with Some b when b >= 0 -> Some b | _ -> None
-      in
-      let result =
-        Sim.Storm.trials ~max_steps ?fault_budget ~jobs ~obs ~guard ?watchdog
-          ~rng:(Prng.create seed) ~trials
-          ~daemon:(fun r -> Sim.Daemon.random r)
-          ~prepare:(fun r ->
-            let s = i.legitimate () in
-            fault.Sim.Fault.inject r s;
-            s)
-          ~stop:i.invariant ~fault ~rate cp
-      in
-      Format.printf "%s: storm %s rate=%g, %d trials: %a@." i.i_name
-        fault.Sim.Fault.name rate trials Sim.Storm.pp_result result;
-      if result.Sim.Storm.skipped > 0 then
-        report_incomplete ~obs
-          {
-            Explore.Engine.reason = guard_reason guard;
-            states_seen = trials - result.Sim.Storm.skipped;
-            frontier_size = result.Sim.Storm.skipped;
-            snapshot = None;
-          };
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress
+        ~meta:
+          (run_meta ~command:"storm" ~instance:i.model.name ~engine:"-" ~jobs)
+    in
+    let guard = make_guard ~deadline ~budget_states:None ~budget_bytes:None in
+    let watchdog = make_watchdog ~trial_timeout ~trial_retries in
+    Ops.run ~jobs ~obs ~guard ?watchdog
+      (ops_request ~model:i.model Ops.Storm
+         {
+           Ops.defaults with
+           seed;
+           trials;
+           rate;
+           max_steps;
+           faults = fault_spec;
+           fault_budget;
+         })
+    |> finish ~obs ~name:i.model.name
   in
   Cmd.v
     (Cmd.info "storm"
@@ -1340,8 +1112,6 @@ let no_shrink_arg =
     & info [ "no-shrink" ]
         ~doc:"Report counterexamples as generated, without minimizing them.")
 
-let exit_counterexample = 3
-
 let corpus_out_arg =
   Arg.(
     value
@@ -1363,56 +1133,35 @@ let corpus_all_arg =
 let fuzz_cmd =
   let run seed count max_vars jobs no_shrink corpus_out corpus_all trace_out
       metrics_out progress deadline trial_timeout trial_retries =
-    try
-      if max_vars < 2 then failwith "fuzz: --max-vars must be at least 2";
-      if count < 0 then failwith "fuzz: --count must be non-negative";
-      let obs =
-        obs_setup ~trace_out ~metrics_out ~progress
-          ~meta:
-            (run_meta ~command:"fuzz"
-               ~instance:(Printf.sprintf "seed=%d count=%d" seed count)
-               ~engine:"all" ~jobs)
-      in
-      let guard =
-        make_guard ~deadline ~budget_states:None ~budget_bytes:None
-      in
-      let watchdog = make_watchdog ~trial_timeout ~trial_retries in
-      if corpus_all && corpus_out = None then
-        failwith "fuzz: --corpus-all requires --corpus-out";
-      let report =
-        Gen.Fuzz.run
-          ~gen_config:(Gen.Generate.with_max_vars max_vars)
-          ~shrink:(not no_shrink) ~jobs ~obs ~guard ?watchdog
-          ?corpus_out ~corpus_all ~seed ~count ()
-      in
-      Format.printf "%a@." Gen.Fuzz.pp_report report;
-      if report.Gen.Fuzz.counterexamples <> [] then begin
-        Printf.eprintf
-          "error: fuzz found %d counterexample(s); reproduce with the seeds \
-           above\n"
-          (List.length report.Gen.Fuzz.counterexamples);
-        exit exit_counterexample
-      end;
-      (* A counterexample outranks a partial sweep: exit 3 above wins.
-         Watchdog-abandoned trials also leave the sample incomplete —
-         but only a skip means the global guard tripped; a timeout-only
-         sweep names the watchdog, not a budget. *)
-      if report.Gen.Fuzz.skipped > 0 || report.Gen.Fuzz.timeouts <> [] then
-        report_incomplete ~obs
-          {
-            Explore.Engine.reason =
-              (if report.Gen.Fuzz.skipped > 0 then guard_reason guard
-               else Rt.Cancel.Requested "trial-timeout");
-            states_seen =
-              count - report.Gen.Fuzz.skipped
-              - List.length report.Gen.Fuzz.timeouts;
-            frontier_size = report.Gen.Fuzz.skipped;
-            snapshot = None;
-          };
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    if max_vars < 2 then failwith "fuzz: --max-vars must be at least 2";
+    if count < 0 then failwith "fuzz: --count must be non-negative";
+    let obs =
+      obs_setup ~trace_out ~metrics_out ~progress
+        ~meta:
+          (run_meta ~command:"fuzz"
+             ~instance:(Printf.sprintf "seed=%d count=%d" seed count)
+             ~engine:"all" ~jobs)
+    in
+    let guard = make_guard ~deadline ~budget_states:None ~budget_bytes:None in
+    let watchdog = make_watchdog ~trial_timeout ~trial_retries in
+    if corpus_all && corpus_out = None then
+      failwith "fuzz: --corpus-all requires --corpus-out";
+    let o =
+      Ops.run ~jobs ~obs ~guard ?watchdog ~shrink:(not no_shrink) ?corpus_out
+        ~corpus_all
+        (ops_request Ops.Fuzz { Ops.defaults with seed; count; max_vars })
+    in
+    let n_cex =
+      match List.assoc_opt "counterexamples" o.fields with
+      | Some (Obs.Json.List l) -> List.length l
+      | _ -> 0
+    in
+    finish ~obs ~name:"fuzz" o
+      ~failed:
+        (Printf.sprintf
+           "fuzz found %d counterexample(s); reproduce with the seeds above"
+           n_cex)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1429,19 +1178,17 @@ let fuzz_cmd =
 
 let dot_cmd =
   let run proto shape size nodes k seed params =
-    try
-      (if is_model_path proto then
-         let em = compile_model ~params:(parse_param_overrides params) proto in
-         print_string (Lang.Dot.render em)
-       else
-         let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
-         match i.cgraphs with
-         | [] -> failwith (Printf.sprintf "%s has no constraint graph" i.i_name)
-         | gs -> List.iter (fun g -> print_string (Nonmask.Cgraph.to_dot g)) gs);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    (if is_model_path proto then
+       let em = compile_model ~params:(parse_param_overrides params) proto in
+       print_string (Lang.Dot.render em)
+     else
+       let i = load_instance proto ~shape ~size ~nodes ~k ~seed ~params in
+       match i.cgraphs with
+       | [] ->
+           failwith (Printf.sprintf "%s has no constraint graph" i.model.name)
+       | gs -> List.iter (fun g -> print_string (Nonmask.Cgraph.to_dot g)) gs);
+    0
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit the constraint graph(s) as Graphviz DOT")
@@ -1469,54 +1216,51 @@ let model_hash ~params ~shape ~size ~nodes ~k ~seed target =
     Lang.Canon.with_params ~params:em.Lang.Elab.params
       (Lang.Canon.model_digest ast)
   else
-    let i = load_instance target ~shape ~size ~nodes ~k ~seed ~params in
+    let m = (load_instance target ~shape ~size ~nodes ~k ~seed ~params).model in
     let text =
-      Printf.sprintf "%s\n%s\nlegitimate: %s\n" i.i_name
-        (Guarded.Program.to_string i.program)
-        (State.to_string i.env (i.legitimate ()))
+      Printf.sprintf "%s\n%s\nlegitimate: %s\n" m.name
+        (Guarded.Program.to_string m.program)
+        (State.to_string m.env m.init)
     in
     Lang.Canon.digest_text text
 
 let fmt_cmd =
   let run file write check hash shape size nodes k seed params =
-    try
-      if hash then begin
-        if write || check then
-          failwith "fmt: --hash conflicts with --write/--check";
-        print_endline (model_hash ~params ~shape ~size ~nodes ~k ~seed file)
-      end
-      else begin
-        if write && check then failwith "fmt: --write and --check conflict";
-        if not (is_model_path file) then
+    cli_errors @@ fun () ->
+    if hash then begin
+      if write || check then
+        failwith "fmt: --hash conflicts with --write/--check";
+      print_endline (model_hash ~params ~shape ~size ~nodes ~k ~seed file)
+    end
+    else begin
+      if write && check then failwith "fmt: --write and --check conflict";
+      if not (is_model_path file) then
+        failwith
+          (Printf.sprintf
+             "fmt: %S is not a .nm file (built-in protocols are accepted \
+              only with --hash)"
+             file);
+      let _src, ast = parse_model_file file in
+      let formatted = Lang.Pretty.print ast in
+      if check then begin
+        let original =
+          let ic = open_in_bin file in
+          Fun.protect
+            ~finally:(fun () -> close_in_noerr ic)
+            (fun () -> really_input_string ic (in_channel_length ic))
+        in
+        if original <> formatted then
           failwith
-            (Printf.sprintf
-               "fmt: %S is not a .nm file (built-in protocols are accepted \
-                only with --hash)"
-               file);
-        let _src, ast = parse_model_file file in
-        let formatted = Lang.Pretty.print ast in
-        if check then begin
-          let original =
-            let ic = open_in_bin file in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          if original <> formatted then
-            failwith
-              (Printf.sprintf "fmt: %s is not canonically formatted" file)
-        end
-        else if write then begin
-          let oc = open_out file in
-          output_string oc formatted;
-          close_out oc
-        end
-        else print_string formatted
-      end;
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+            (Printf.sprintf "fmt: %s is not canonically formatted" file)
+      end
+      else if write then begin
+        let oc = open_out file in
+        output_string oc formatted;
+        close_out oc
+      end
+      else print_string formatted
+    end;
+    0
   in
   let write_arg =
     Arg.(
@@ -1554,24 +1298,21 @@ let fmt_cmd =
 
 let export_cmd =
   let run file params tla dot out =
-    try
-      let text =
-        let em = compile_model ~params:(parse_param_overrides params) file in
-        match (tla, dot) with
-        | true, false -> Lang.Tla.render em
-        | false, true -> Lang.Dot.render em
-        | _ -> failwith "export: pass exactly one of --tla, --dot"
-      in
-      (match out with
-      | None -> print_string text
-      | Some path ->
-          let oc = open_out path in
-          output_string oc text;
-          close_out oc);
-      0
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+    cli_errors @@ fun () ->
+    let text =
+      let em = compile_model ~params:(parse_param_overrides params) file in
+      match (tla, dot) with
+      | true, false -> Lang.Tla.render em
+      | false, true -> Lang.Dot.render em
+      | _ -> failwith "export: pass exactly one of --tla, --dot"
+    in
+    (match out with
+    | None -> print_string text
+    | Some path ->
+        let oc = open_out path in
+        output_string oc text;
+        close_out oc);
+    0
   in
   let tla_arg =
     Arg.(
@@ -1706,8 +1447,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run the persistent checking service: newline-delimited JSON \
-          requests (check/certify/storm/fuzz/ping/metrics) over a Unix or \
-          TCP socket, one shared worker pool, content-addressed result \
+          requests (check/certify/tolerance/storm/fuzz/ping/metrics) over a \
+          Unix or TCP socket, one shared worker pool, content-addressed result \
           cache. First SIGTERM/SIGINT drains gracefully; a second cancels \
           in-flight work cooperatively.")
     Term.(
@@ -1732,82 +1473,79 @@ let submit_cmd =
             | s -> Obs.Json.Str s))
   in
   let run addr op model opts params id =
-    try
-      let address =
-        match Serve.Client.parse_address addr with
-        | Ok a -> a
+    cli_errors @@ fun () ->
+    let address =
+      match Serve.Client.parse_address addr with
+      | Ok a -> a
+      | Error msg -> failwith (Printf.sprintf "submit: %s" msg)
+    in
+    if Serve.Proto.op_of_name op = None then
+      failwith
+        (Printf.sprintf
+           "submit: unknown op %S \
+            (check|certify|tolerance|storm|fuzz|ping|metrics)"
+           op);
+    let model_field =
+      match model with
+      | None -> []
+      | Some path ->
+          let src = try Lang.Source.read_file path with Failure m -> failwith m in
+          [ ("model", Obs.Json.Str src.Lang.Source.text) ]
+    in
+    let options =
+      List.map
+        (fun s ->
+          match String.index_opt s '=' with
+          | Some i when i > 0 ->
+              ( String.sub s 0 i,
+                parse_opt_value
+                  (String.sub s (i + 1) (String.length s - i - 1)) )
+          | _ -> failwith (Printf.sprintf "bad --opt %S (want KEY=VALUE)" s))
+        opts
+    in
+    let options =
+      match parse_param_overrides params with
+      | [] -> options
+      | ps ->
+          options
+          @ [
+              ( "params",
+                Obs.Json.Obj
+                  (List.map (fun (n, v) -> (n, Obs.Json.Int v)) ps) );
+            ]
+    in
+    let request =
+      Obs.Json.Obj
+        (("id", Obs.Json.Str id) :: ("op", Obs.Json.Str op) :: model_field
+        @
+        match options with
+        | [] -> []
+        | o -> [ ("options", Obs.Json.Obj o) ])
+    in
+    let client =
+      match Serve.Client.connect address with
+      | Ok c -> c
+      | Error msg -> failwith (Printf.sprintf "submit: %s" msg)
+    in
+    Fun.protect
+      ~finally:(fun () -> Serve.Client.close client)
+      (fun () ->
+        match Serve.Client.request client request with
         | Error msg -> failwith (Printf.sprintf "submit: %s" msg)
-      in
-      if Serve.Proto.op_of_name op = None then
-        failwith
-          (Printf.sprintf
-             "submit: unknown op %S \
-              (check|certify|tolerance|storm|fuzz|ping|metrics)"
-             op);
-      let model_field =
-        match model with
-        | None -> []
-        | Some path ->
-            let src = try Lang.Source.read_file path with Failure m -> failwith m in
-            [ ("model", Obs.Json.Str src.Lang.Source.text) ]
-      in
-      let options =
-        List.map
-          (fun s ->
-            match String.index_opt s '=' with
-            | Some i when i > 0 ->
-                ( String.sub s 0 i,
-                  parse_opt_value
-                    (String.sub s (i + 1) (String.length s - i - 1)) )
-            | _ -> failwith (Printf.sprintf "bad --opt %S (want KEY=VALUE)" s))
-          opts
-      in
-      let options =
-        match parse_param_overrides params with
-        | [] -> options
-        | ps ->
-            options
-            @ [
-                ( "params",
-                  Obs.Json.Obj
-                    (List.map (fun (n, v) -> (n, Obs.Json.Int v)) ps) );
-              ]
-      in
-      let request =
-        Obs.Json.Obj
-          (("id", Obs.Json.Str id) :: ("op", Obs.Json.Str op) :: model_field
-          @
-          match options with
-          | [] -> []
-          | o -> [ ("options", Obs.Json.Obj o) ])
-      in
-      let client =
-        match Serve.Client.connect address with
-        | Ok c -> c
-        | Error msg -> failwith (Printf.sprintf "submit: %s" msg)
-      in
-      Fun.protect
-        ~finally:(fun () -> Serve.Client.close client)
-        (fun () ->
-          match Serve.Client.request client request with
-          | Error msg -> failwith (Printf.sprintf "submit: %s" msg)
-          | Ok reply -> (
-              print_endline (Obs.Json.to_string reply);
-              match Obs.Json.member "ok" reply with
-              | Some (Obs.Json.Bool true) -> (
-                  match
-                    Option.bind
-                      (Option.bind
-                         (Obs.Json.member "result" reply)
-                         (Obs.Json.member "exit"))
-                      Obs.Json.to_int
-                  with
-                  | Some code -> code
-                  | None -> 0)
-              | _ -> 1))
-    with Failure msg ->
-      Printf.eprintf "error: %s\n" msg;
-      1
+        | Ok reply -> (
+            print_endline (Obs.Json.to_string reply);
+            match Obs.Json.member "ok" reply with
+            | Some (Obs.Json.Bool true) -> (
+                match
+                  Option.bind
+                    (Option.bind
+                       (Obs.Json.member "result" reply)
+                       (Obs.Json.member "exit"))
+                    Obs.Json.to_int
+                with
+                | Some code -> code
+                | None -> 0)
+            | _ -> 1))
   in
   let addr_arg =
     Arg.(
@@ -1828,7 +1566,9 @@ let submit_cmd =
       value
       & pos 1 (some string) None
       & info [] ~docv:"MODEL.nm"
-          ~doc:"Model file to submit (required for check/certify/storm).")
+          ~doc:
+            "Model file to submit (required for \
+             check/certify/tolerance/storm).")
   in
   let opt_arg =
     Arg.(

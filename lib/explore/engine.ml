@@ -112,8 +112,10 @@ let of_space ?(obs = Obs.Ctx.disabled) space =
 
 let backend t = t.backend
 
-let backend_name t =
-  match t.backend with Eager -> "eager" | Lazy -> "lazy" | Parallel -> "parallel"
+let backends = [ ("eager", Eager); ("lazy", Lazy); ("parallel", Parallel) ]
+let backend_of_name s = List.assoc_opt s backends
+let name_of_backend b = fst (List.find (fun (_, b') -> b' = b) backends)
+let backend_name t = name_of_backend t.backend
 
 let space t = t.space
 let codec t = t.codec

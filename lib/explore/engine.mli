@@ -33,6 +33,14 @@
 
 type backend = Eager | Lazy | Parallel
 
+val backends : (string * backend) list
+(** The one engine-name table, in documentation order: the CLI's
+    [--engine] flag, the serve daemon's [engine] option and every report
+    spell backends through it. *)
+
+val backend_of_name : string -> backend option
+val name_of_backend : backend -> string
+
 (** Visited-set representation for the lazy and parallel backends (the
     eager backend's CSR relation is its own storage):
 

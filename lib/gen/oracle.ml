@@ -33,12 +33,8 @@ let oracle_names =
     "emit-roundtrip";
   ]
 
-let backends = [ Engine.Eager; Engine.Lazy; Engine.Parallel ]
-
-let backend_name = function
-  | Engine.Eager -> "eager"
-  | Engine.Lazy -> "lazy"
-  | Engine.Parallel -> "parallel"
+let backends = List.map snd Engine.backends
+let backend_name = Engine.name_of_backend
 
 (* Spaces are capped at generation time (Generate.config.max_states), so a
    budget far above the cap means no backend can overflow. *)

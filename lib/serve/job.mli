@@ -1,5 +1,5 @@
-(** One serve job: request validation, content-addressed cache key, and
-    the execution mapping onto the engine/certify/storm/fuzz pipelines.
+(** One serve job: request validation and the content-addressed cache
+    key. Execution is {!Ops.run}, the runner the CLI verbs share.
 
     {!prepare} is the reader-thread half — cheap and bounded (option
     validation, one compile of the size-capped model text, a SHA-256) —
@@ -8,23 +8,9 @@
     {!Par.Pool}. *)
 
 type options = {
-  engine : Explore.Engine.backend;
-      (** default [Lazy] — serves arbitrary models without the eager
-          size cap *)
-  max_states : int;  (** default [2_000_000] *)
-  ball : int;  (** fault-ball radius; negative = from every state *)
-  seed : int;  (** default [42] *)
-  trials : int;  (** storm trials; default [500] *)
-  rate : float;  (** storm fault rate; default [0.05] *)
-  max_steps : int;  (** storm step budget per trial; default [100_000] *)
-  faults : string option;  (** [corrupt | corrupt:k=N | scramble] *)
-  fault_budget : int option;
-  budget_max : int;
-      (** tolerance sweep range, budgets [0..budget_max]; default [3] *)
-  adversary : bool;
-      (** tolerance: also compute the adversary bound; default [false] *)
-  count : int;  (** fuzz trials; default [200] *)
-  max_vars : int;  (** fuzz model size cap; default [4] *)
+  ops : Ops.options;
+      (** semantic options; defaults {!Ops.defaults} (the [Lazy] engine
+          serves arbitrary models without the eager size cap) *)
   params : (string * int) list;  (** .nm parameter overrides *)
   deadline : float option;  (** resource knob — never in the cache key *)
   budget_states : int option;  (** resource knob *)
@@ -36,11 +22,9 @@ val defaults : options
 type prepared = {
   op : Proto.op;
   opts : options;
-  elab : Lang.Elab.t option;  (** [None] only for fuzz *)
-  fault : Sim.Fault.t option;
-      (** resolved fault class (certify/tolerance/storm): the [faults]
-          option, else the model's declared faults, else [corrupt:k=1]
-          (storm and tolerance only — certify requires one) *)
+  request : Ops.request;
+      (** the compiled model and its resolved fault class (see
+          {!Ops.request}) *)
   model_digest : string;  (** canonical digest, params folded; ["-"] for
                               fuzz *)
   key : string;
@@ -56,20 +40,10 @@ val prepare : Proto.request -> (prepared, Proto.error_code * string) result
     error, missing model, certify without a fault class) comes back as
     [Bad_request] with a located message — never an exception. *)
 
-type outcome = {
-  exit_code : int;
-      (** the CLI's exit-code contract, carried in-protocol: 0 ok,
-          1 error, 2 failed verdict, 3 too-large / fuzz counterexample,
-          4 region overflow, 5 incomplete *)
-  cacheable : bool;
-      (** complete deterministic outcomes only (exit 0/2/3/4) — an
-          incomplete (exit-5) outcome is never cached, so a budget trip
-          or drain can never poison the cache *)
-  result : Obs.Json.t;  (** the reply's [result] object, byte-stable *)
-  states_explored : int;  (** work accounting for the server metrics *)
-}
-
 val run :
-  pool:Par.Pool.t -> obs:Obs.Ctx.t -> guard:Rt.Guard.t -> prepared -> outcome
+  pool:Par.Pool.t -> obs:Obs.Ctx.t -> guard:Rt.Guard.t -> prepared ->
+  Ops.outcome
 (** Execute. Never raises: engine overflows, guard trips, and
-    cancellation map to the matching in-protocol outcome. *)
+    cancellation map to the matching in-protocol outcome. Only complete
+    outcomes are [cacheable], so a budget trip or drain can never poison
+    the cache. *)

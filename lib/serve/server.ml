@@ -415,15 +415,15 @@ let run_one t pool q =
   count t "serve.jobs";
   Obs.Metrics.add
     (m_counter t "serve.states_explored")
-    outcome.Job.states_explored;
+    outcome.Ops.states_explored;
   Obs.Metrics.observe (m_hist t "serve.job_us") (elapsed_us started);
   Obs.Metrics.observe (m_hist t "serve.queue_wait_us")
     (int_of_float ((started -. q.q_enqueued) *. 1e6));
-  if outcome.Job.cacheable then
-    Cache.store t.cache q.q_prepared.Job.key outcome.Job.result;
+  let result = Ops.result outcome in
+  if outcome.Ops.cacheable then Cache.store t.cache q.q_prepared.Job.key result;
   send t q.q_conn
     (Proto.reply ~id:q.q_id ~cached:false
-       ~elapsed_us:(elapsed_us q.q_enqueued) ~result:outcome.Job.result);
+       ~elapsed_us:(elapsed_us q.q_enqueued) ~result);
   job_done q.q_conn
 
 let executor t pool =

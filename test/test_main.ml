@@ -26,4 +26,5 @@ let () =
       ("gen", Test_gen.suite);
       ("tol", Test_tol.suite);
       ("serve", Test_serve.suite);
+      ("ops", Test_ops.suite);
     ]
